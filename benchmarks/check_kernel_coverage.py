@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI gate: no figure configuration silently de-kernelizes.
+"""CI gate: every figure configuration replays on its measured engine.
 
 Usage::
 
@@ -7,17 +7,18 @@ Usage::
 
 Recomputes the replay-engine dispatch of every planned figure
 configuration (``repro.experiments.run_all.coverage_report``, the same
-classification ``run_all --dry-run`` prints) and diffs it against the
-committed baseline (default:
+classification ``run_all --dry-run`` prints) and requires it to equal
+the committed baseline (default:
 ``benchmarks/kernel_coverage_baseline.json``).
 
-A configuration whose engine *downgrades* — vector to kernel/packed,
-or kernel to packed — fails the build: a refactor quietly pushed a hot
-figure config off the fast replay paths.  A baseline configuration
-missing from the current plan also fails (the plan changed; the
-baseline must be regenerated deliberately via
-``python -m repro.experiments.run_all --dry-run --quiet``).  Upgrades
-and brand-new configurations are reported informationally and pass.
+The baseline records the engine measured fastest on the figure traces
+(docs/PERFORMANCE.md, "Kernel-coverage gate"), so a move in *either*
+direction fails the build: a refactor pushed a figure config off the
+kernel, or put it on an engine nobody measured for it.  A baseline
+configuration missing from the current plan also fails.  Brand-new
+configurations are reported and pass.  Every deliberate change
+regenerates the baseline via
+``python -m repro.experiments.run_all --dry-run --quiet``.
 
 Exit status: 0 = OK, 1 = coverage regression, 2 = usage / unreadable
 baseline.
@@ -25,9 +26,6 @@ baseline.
 
 import json
 import sys
-
-#: Replay engines, slowest first; a move to a lower rank is a failure.
-ENGINE_RANK = {"packed": 0, "kernel": 1, "vector": 2}
 
 DEFAULT_BASELINE = "benchmarks/kernel_coverage_baseline.json"
 
@@ -50,15 +48,9 @@ def check(baseline, current):
             failures.append(f"{label}: in the baseline ({base_engine}) "
                             f"but no longer planned — regenerate the "
                             f"baseline if this is deliberate")
-            continue
-        base_rank = ENGINE_RANK.get(base_engine, 0)
-        curr_rank = ENGINE_RANK.get(curr_engine, 0)
-        if curr_rank < base_rank:
+        elif curr_engine != base_engine:
             failures.append(f"{label}: dispatched to {base_engine}, "
                             f"now {curr_engine}")
-        elif curr_rank > base_rank:
-            print(f"  better {label}: {base_engine} -> {curr_engine} "
-                  f"(regenerate the baseline to lock this in)")
         else:
             print(f"  ok     {label}: {curr_engine}")
     for label in sorted(set(current) - set(baseline)):
@@ -66,22 +58,18 @@ def check(baseline, current):
     return failures
 
 
-def print_rank_diff(baseline, current, out=None):
-    """Full per-config rank movement table (old rank -> new rank).
+def print_dispatch_diff(baseline, current, out=None):
+    """Full per-config dispatch table (old engine -> new engine).
 
     Printed on failure so the log shows every config's movement, not
-    just the regressed ones — a dispatch change usually moves several
-    configs at once, and the passing rows locate which layer moved.
+    just the failing ones — a dispatch change usually moves several
+    configs at once, and the unchanged rows locate which layer moved.
     """
     out = out or sys.stderr
-    print("  per-config dispatch ranks (old -> new):", file=out)
+    print("  per-config dispatch (old -> new):", file=out)
     for label in sorted(set(baseline) | set(current)):
-        base_engine = baseline.get(label)
-        curr_engine = current.get(label)
-        base = (f"{base_engine}({ENGINE_RANK.get(base_engine, 0)})"
-                if base_engine is not None else "absent")
-        curr = (f"{curr_engine}({ENGINE_RANK.get(curr_engine, 0)})"
-                if curr_engine is not None else "absent")
+        base = baseline.get(label, "absent")
+        curr = current.get(label, "absent")
         marker = "  " if base == curr else "->"
         print(f"    {marker} {label}: {base} -> {curr}", file=out)
 
@@ -100,7 +88,7 @@ def main(argv):
     if failures:
         for failure in failures:
             print(f"  FAIL   {failure}", file=sys.stderr)
-        print_rank_diff(baseline, current)
+        print_dispatch_diff(baseline, current)
         return 1
     print("  coverage gate passed")
     return 0

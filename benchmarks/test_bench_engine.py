@@ -3,11 +3,12 @@
 Measures (1) raw requests/second of the default engine path (whatever
 ``TraceDrivenCpu.run`` dispatches to), (2) the packed replay loop
 (``TraceDrivenCpu.run_packed``, pinned via ``kernels.kernel_disabled``),
-(3) the fused flat-store kernel (``TraceDrivenCpu.run_kernel``, pinned
-via ``vector.vector_disabled`` now that covered 2-D designs dispatch
-to the vector loop), gated at >= 2x the packed loop on the same host,
-(4) the vectorized window replay (``TraceDrivenCpu.run_vector``) on a
-hit-dense trace, gated at >= 2x the fused kernel, (5) the sharded
+(3) the fused flat-store kernel (``TraceDrivenCpu.run_kernel``, where
+``run`` dispatches every covered design), gated at >= 2x the packed
+loop on the same host, (4) the vectorized window replay, called
+directly through ``TraceDrivenCpu.run_vector`` because ``run`` never
+dispatches to it, on a hit-dense trace, gated at >= 2x the fused
+kernel, (5) the sharded
 (cold-cache-epoch) replay under a 2-worker pool versus serial, and
 (6) the end-to-end wall time of a two-figure sweep (Figs. 11 and 12
 restricted to two workloads) under ``--jobs 2`` versus ``--jobs 1``,
@@ -27,12 +28,15 @@ import json
 import os
 import time
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import apply_overrides
+from repro.common.stats import StatRegistry
 from repro.common.types import AccessWidth, Orientation, PackedTrace, \
     Request
 from repro.core import kernels, vector
-from repro.core.simulator import clear_trace_cache, run_simulation, \
-    run_trace
+from repro.core.cpu import TraceDrivenCpu
+from repro.core.simulator import RunResult, clear_trace_cache, \
+    run_simulation, run_trace
 from repro.core.system import make_system
 from repro.experiments.plans import plan_fig11, plan_fig12
 from repro.experiments.runner import ExperimentRunner, RunKey, \
@@ -71,6 +75,15 @@ def _miss_trace(n=HOT_TRACE_LEN):
                  orientation=Orientation.ROW,
                  width=AccessWidth.VECTOR, is_write=False, ref_id=0)
          for i in range(n)])
+
+
+def _run_vector(system, packed, name):
+    """``run_trace`` pinned to ``TraceDrivenCpu.run_vector``."""
+    stats = StatRegistry()
+    cpu = TraceDrivenCpu(system.cpu, CacheHierarchy(system, stats), stats)
+    cycles = cpu.run_vector(packed)
+    return RunResult(system=system, workload=name, cycles=cycles,
+                     ops=stats.group("cpu").get("ops"), stats=stats)
 
 
 def _miss_system():
@@ -154,9 +167,8 @@ def test_packed_loop_requests_per_second(benchmark):
 def test_kernel_loop_requests_per_second(benchmark):
     """The fused flat-store kernel clears 2x the packed replay loop.
 
-    Pinned to ``TraceDrivenCpu.run_kernel`` via ``vector_disabled`` —
-    without the pin, ``run_simulation`` on 1P2L would silently measure
-    the vector loop instead — and gated against the packed number the
+    ``run_simulation`` on 1P2L dispatches to
+    ``TraceDrivenCpu.run_kernel``, gated against the packed number the
     previous test just recorded on the same host (the PR-4 acceptance
     bar).  Results stay bit-identical: the run must reproduce the
     pinned packed run's cycle count exactly.
@@ -198,8 +210,7 @@ def test_kernel_2p2l_requests_per_second(benchmark):
     coherence and packed presence words — the family this PR moved off
     the packed interpreter.  Both loops replay the same sgemm trace on
     the same host: the packed loop pinned via ``kernel_disabled`` (best
-    of 3), the fused kernel via ``vector_disabled`` (so the now
-    vector-covered design measures the scalar kernel, rounds of 9).
+    of 3), the fused kernel via default dispatch (rounds of 9).
     Results must stay bit-identical between the two pins.
     """
     system = make_system("2P2L", 1.0)
@@ -244,7 +255,8 @@ def test_kernel_2p2l_requests_per_second(benchmark):
 def test_vector_loop_requests_per_second(benchmark):
     """The vector window replay clears 2x the fused kernel loop.
 
-    Measured on a hit-dense trace — the regime dependency windows
+    Called through ``run_vector`` (``run`` never dispatches there) on
+    a hit-dense trace — the regime dependency windows
     exist for: after an 8-line warmup every classification chunk is
     one full bulk window, so the replay is numpy scatters end to end.
     The scalar kernel replays the same trace (pinned) for an honest
@@ -264,7 +276,7 @@ def test_vector_loop_requests_per_second(benchmark):
         kernel_best = elapsed if kernel_best is None \
             else min(kernel_best, elapsed)
 
-    result = benchmark.pedantic(run_trace, args=(system, packed),
+    result = benchmark.pedantic(_run_vector, args=(system, packed),
                                 kwargs={"name": "hot"},
                                 rounds=5, iterations=1)
     assert result.cycles == reference.cycles
@@ -300,7 +312,8 @@ def test_vector_miss_loop_requests_per_second(benchmark):
     level, so each classification chunk retires through the bulk-miss
     path: set-grouped MSHR allocation against the flat table, one
     latency scatter for the fills, and the uniform-window fast path
-    for the clock recurrence.  The scalar kernel replays the same
+    for the clock recurrence.  The vector leg is called through
+    ``run_vector``; the scalar kernel replays the same
     trace (pinned via ``vector_disabled``) for a same-host,
     same-trace ratio; results must stay bit-identical between the two
     pins.  ``check_bench_regression.py`` enforces the 2x ratio on the
@@ -318,7 +331,7 @@ def test_vector_miss_loop_requests_per_second(benchmark):
         kernel_best = elapsed if kernel_best is None \
             else min(kernel_best, elapsed)
 
-    result = benchmark.pedantic(run_trace, args=(system, packed),
+    result = benchmark.pedantic(_run_vector, args=(system, packed),
                                 kwargs={"name": "missloop"},
                                 rounds=5, iterations=1)
     assert result.cycles == reference.cycles
@@ -345,8 +358,10 @@ def test_tier_replay_requests_per_second(benchmark):
     The miss trace's 1.75MB working set overflows the scaled LLC, so
     below-LLC traffic flows through the hybrid tier: the flat half
     absorbs the low tiles, the cache half sees the rest through the
-    TDRAM probe + RBLA install path.  The pinned scalar kernel replays
-    the same trace for bit-identity; the recorded throughput is gated
+    TDRAM probe + RBLA install path.  ``run_trace`` replays it on the
+    scalar kernel, where ``run`` dispatches covered designs; every
+    timed round must match a first reference replay bit for bit.
+    The recorded throughput is gated
     by ``check_bench_regression.py`` so the tier hook on the replay
     hot path cannot silently decay.
     """

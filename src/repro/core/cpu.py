@@ -34,7 +34,7 @@ from ..common.types import (
     Request,
     line_words,
 )
-from . import kernels, vector
+from . import kernels
 from ..common.stats import LAT_HIST_KEYS
 
 #: Callback invoked as sampler(ops_retired, now_cycles).
@@ -78,6 +78,21 @@ class _PackedRequestView:
         return line_words(self.line_id)
 
 
+def packed_engine(hierarchy: CacheHierarchy, sampling: bool) -> str:
+    """The engine :meth:`TraceDrivenCpu.run` replays a packed trace on.
+
+    ``"kernel"`` when the fused flat-store kernel covers the hierarchy
+    and no occupancy sampler needs per-request callbacks, else
+    ``"packed"``.  The trace length plays no part, and the batched
+    window replay (:meth:`TraceDrivenCpu.run_vector`) is never picked:
+    on the figures' miss-dense traces it measures slower than the
+    kernel (docs/PERFORMANCE.md §6).
+    """
+    if not sampling and kernels.supports(hierarchy):
+        return "kernel"
+    return "packed"
+
+
 class TraceDrivenCpu:
     """Drives a request trace through a cache hierarchy."""
 
@@ -92,21 +107,14 @@ class TraceDrivenCpu:
             sample_every: int = 0) -> int:
         """Execute a trace; returns total cycles including drain.
 
-        A :class:`PackedTrace` is dispatched to :meth:`run_vector`
-        when the batched window replay covers the design and the trace
-        is long enough to amortize its classification passes
-        (``vector.MIN_VECTOR_TRACE``), else to :meth:`run_kernel` when
-        the fused flat-store kernel does (and no occupancy sampler
-        needs per-request callbacks), else to :meth:`run_packed` — all
+        A :class:`PackedTrace` is dispatched to :meth:`run_kernel` or
+        :meth:`run_packed` as :func:`packed_engine` decides — both
         bit-identical to the object path below, which any other
         iterable takes.
         """
         if isinstance(trace, PackedTrace):
-            if (sampler is None or sample_every <= 0) \
-                    and kernels.supports(self._hierarchy):
-                if len(trace) >= vector.MIN_VECTOR_TRACE \
-                        and vector.supports(self._hierarchy):
-                    return self.run_vector(trace)
+            sampling = sampler is not None and sample_every > 0
+            if packed_engine(self._hierarchy, sampling) == "kernel":
                 return self.run_kernel(trace)
             return self.run_packed(trace, sampler, sample_every)
         now = 0
@@ -169,11 +177,13 @@ class TraceDrivenCpu:
         """Execute a packed trace through the batched window replay.
 
         Only valid when :func:`repro.core.vector.supports` accepts the
-        hierarchy; :meth:`run` performs that dispatch.  Statistics are
-        bit-identical to :meth:`run_kernel` (and hence to the object
-        path): hit-dense dependency windows retire through numpy
-        scatters, everything else through an exact scalar step.
+        hierarchy.  :meth:`run` never dispatches here; tests and engine
+        benches call it directly.  Statistics are bit-identical to
+        :meth:`run_kernel` (and hence to the object path): hit-dense
+        dependency windows retire through numpy scatters, everything
+        else through an exact scalar step.
         """
+        from . import vector
         engine = vector.VectorEngine(self._hierarchy)
         return engine.replay(trace, self._config, self._stats)
 

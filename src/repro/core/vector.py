@@ -58,10 +58,12 @@ one probe, no perpendicular state.  Either way the levels *below* the
 L1 are reached only through the scalar tails, so a 2P2L last level
 rides along unchanged.
 
-Dispatch: :meth:`repro.core.cpu.TraceDrivenCpu.run` only routes traces
-of at least :data:`MIN_VECTOR_TRACE` requests here — below ~2 chunks
-the classification overhead outweighs the windows it finds, and the
-scalar kernel is faster.
+Dispatch: :meth:`repro.core.cpu.TraceDrivenCpu.run` never routes
+traces here.  The figures' traces are miss-dense below the L1, and on
+every figure family the scalar kernel measured faster than this
+engine (docs/PERFORMANCE.md §6), so the engine is reached only through
+an explicit :meth:`repro.core.cpu.TraceDrivenCpu.run_vector` call —
+its bit-identity tests and engine benches.
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ try:  # optional accelerator (same dependency policy as kernels._np)
 except ImportError:  # pragma: no cover - numpy ships with the test env
     _np = None
 
-#: Module-level switch: benches and tests flip this to pin the scalar
-#: ``run_kernel`` path (see :func:`vector_disabled`).
+#: Module-level switch read by :func:`supports` (see
+#: :func:`vector_disabled`).  Dispatch never picks this engine, so the
+#: pin no longer changes which engine ``TraceDrivenCpu.run`` enters.
 VECTOR_ENABLED = True
 
 #: Requests classified per batch.  Chunk boundaries only bound how far
@@ -114,10 +117,11 @@ MISS_BULK_MIN = 32
 #: since import.  Tests read it to assert the miss path vectorized.
 BULK_MISS_ROWS = [0]
 
-#: Traces shorter than this replay through the scalar kernel even when
-#: :func:`supports` says yes: below ~2 chunks the vector path's
-#: classification overhead lands in the 0.78-0.86x crossover zone.
-#: ``TraceDrivenCpu.run`` consults this when dispatching.
+#: This engine's own measured crossover: below ~2 chunks its
+#: classification overhead lands in a 0.78-0.86x zone against the
+#: scalar kernel even on mixed traces.  Dispatch no longer consults it
+#: (``TraceDrivenCpu.run`` never picks this engine); tests use it as a
+#: trace-length landmark.
 MIN_VECTOR_TRACE = 2 * CHUNK
 
 

@@ -42,7 +42,7 @@ from ..common.errors import (
 )
 from ..cache.hierarchy import CacheHierarchy
 from ..common.stats import StatRegistry
-from ..core import kernels, vector
+from ..core.cpu import packed_engine
 from ..core.simulator import trace_cache_info
 from ..sw.tracestore import TRACECACHE_DIRNAME
 from . import faults
@@ -123,20 +123,27 @@ def _experiments(runner: Optional[ExperimentRunner]) \
 def dispatch_for_key(key: RunKey) -> str:
     """Which replay engine one planned point dispatches to.
 
-    Mirrors :meth:`TraceDrivenCpu.run` without materializing the
-    trace: sampled points replay on the packed interpreter (the
-    sampler needs per-op callbacks), everything else asks
-    :func:`repro.core.vector.supports` and
-    :func:`repro.core.kernels.supports` against the point's real
-    hierarchy.  Returns ``"vector"``, ``"kernel"`` or ``"packed"``.
+    Asks :func:`repro.core.cpu.packed_engine`, the rule
+    :meth:`TraceDrivenCpu.run` follows, about the point's real
+    hierarchy without materializing the trace.  Returns ``"kernel"``
+    or ``"packed"``.
     """
-    if key.sample_every:
-        return "packed"
     hierarchy = CacheHierarchy(system_for_key(key), StatRegistry(),
                                "lru")
-    if not kernels.supports(hierarchy):
-        return "packed"
-    return "vector" if vector.supports(hierarchy) else "kernel"
+    return packed_engine(hierarchy, bool(key.sample_every))
+
+
+def coverage_label(key: RunKey) -> str:
+    """The :func:`coverage_report` configuration a planned key falls in."""
+    label = (f"{key.design}|mem={key.memory}"
+             f"|resident={int(key.resident)}"
+             f"|sampled={int(bool(key.sample_every))}")
+    tier_mode = dict(key.overrides).get("tier.mode")
+    if tier_mode:
+        # Tier-enabled points classify separately: the gate must see
+        # that adding the tier did not de-kernelize the config.
+        label += f"|tier={tier_mode}"
+    return label
 
 
 def coverage_report(names: Optional[Tuple[str, ...]] = None) \
@@ -149,22 +156,15 @@ def coverage_report(names: Optional[Tuple[str, ...]] = None) \
     workloads and LLC sizes share a hierarchy shape) and classifies
     each one.  This is the
     ``run_all --dry-run`` payload; ``benchmarks/check_kernel_coverage``
-    diffs it against a committed baseline so a config silently falling
-    off the fast paths fails CI.
+    requires it to equal a committed baseline, so a config silently
+    moving to another replay engine fails CI.
     """
     experiments = _experiments(None)
     selected = [name for name in experiments
                 if not names or name in names]
     report: Dict[str, str] = {}
     for key in plan_for(selected):
-        label = (f"{key.design}|mem={key.memory}"
-                 f"|resident={int(key.resident)}"
-                 f"|sampled={int(bool(key.sample_every))}")
-        tier_mode = dict(key.overrides).get("tier.mode")
-        if tier_mode:
-            # Tier-enabled points classify separately: the gate must
-            # see that adding the tier did not de-kernelize the config.
-            label += f"|tier={tier_mode}"
+        label = coverage_label(key)
         if label not in report:
             report[label] = dispatch_for_key(key)
     return dict(sorted(report.items()))
@@ -319,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> None:
                              "deterministically (default: 1)")
     parser.add_argument("--dry-run", action="store_true",
                         help="simulate nothing: print the replay-"
-                             "engine dispatch (vector/kernel/packed) "
+                             "engine dispatch (kernel/packed) "
                              "of every planned figure configuration "
                              "as JSON and exit")
     args = parser.parse_args(argv)

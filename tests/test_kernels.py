@@ -35,6 +35,7 @@ from repro.core.simulator import run_trace
 from repro.core.system import make_system
 from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
+from tests.conftest import run_trace_vector
 
 try:
     from hypothesis import given, settings
@@ -146,9 +147,9 @@ class TestKernelParity:
         with kernels.kernel_disabled():
             via_packed = run_trace(make_system(design, 1.0), packed,
                                    name="t")
-        # Pin the vector engine off so this leg really exercises the
-        # scalar run_kernel loop (tests/test_vector.py covers the
-        # vector leg of the same identity).
+        # run_trace replays covered designs on the scalar kernel
+        # (tests/test_vector.py covers the vector leg of the same
+        # identity).
         with vector.vector_disabled():
             via_kernel = run_trace(make_system(design, 1.0), packed,
                                    name="t")
@@ -288,15 +289,14 @@ class TestKernel2P2L:
         with vector.vector_disabled():
             via_kernel = run_trace(make_system(design, 1.0), packed,
                                    name="t")
-        via_vector = run_trace(make_system(design, 1.0), packed,
-                               name="t")
+        via_vector = run_trace_vector(make_system(design, 1.0), packed)
         assert via_kernel.cycles == via_objects.cycles
         assert via_kernel.stats.flat() == via_objects.stats.flat()
         assert via_vector.cycles == via_objects.cycles
         assert via_vector.stats.flat() == via_objects.stats.flat()
         return via_objects.stats.flat()
 
-    def test_duplicate_coherence_counters(self, monkeypatch):
+    def test_duplicate_coherence_counters(self):
         """Duplicate evictions and cleans stay bit-identical.
 
         The trace forces both Fig. 9 transitions in the 1P2L levels
@@ -305,7 +305,6 @@ class TestKernel2P2L:
         and a vector-read fill crossing a dirty perpendicular line
         (Modified -> Clean, ``duplicate_cleans``).
         """
-        monkeypatch.setattr(vector, "MIN_VECTOR_TRACE", 0)
         R, C = Orientation.ROW, Orientation.COLUMN
         reqs = [
             _scalar(_word(0, 0), R),                  # row 0 resident

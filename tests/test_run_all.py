@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.experiments.run_all import run_all
 
 
@@ -42,13 +44,13 @@ class TestKernelCoverage:
         from repro.experiments.run_all import coverage_report
         report = coverage_report()
         assert report, "figure plans must yield configurations"
-        assert set(report.values()) <= {"vector", "kernel", "packed"}
-        # Flagship and baseline designs both replay vectorized;
-        # sampled points stay on the interpreter.
+        assert set(report.values()) <= {"kernel", "packed"}
+        # Flagship and baseline designs both replay on the scalar
+        # kernel; sampled points stay on the interpreter.
         assert report["1P2L|mem=default|resident=0|sampled=0"] \
-            == "vector"
+            == "kernel"
         assert report["1P1L|mem=default|resident=0|sampled=0"] \
-            == "vector"
+            == "kernel"
         assert report["1P2L|mem=default|resident=0|sampled=1"] \
             == "packed"
 
@@ -73,7 +75,39 @@ class TestKernelCoverage:
         out = capsys.readouterr().out
         report = json.loads(out)
         assert report["1P2L|mem=default|resident=0|sampled=0"] \
-            == "vector"
+            == "kernel"
+
+    def test_dispatch_names_the_engine_run_enters(self, monkeypatch):
+        """Each config's reported engine is the one its trace enters.
+
+        One real planned key per configuration, preferring ``htap1``,
+        the registry's shortest trace: a dispatch rule that reads the
+        trace length (not just the hierarchy) disagrees there first.
+        Entering an engine aborts the replay, so only the traces cost
+        time.
+        """
+        from repro.core.cpu import TraceDrivenCpu
+        from repro.experiments.run_all import (
+            _experiments, coverage_label, coverage_report, plan_for)
+        from repro.experiments.runner import simulate_run_key
+
+        class Entered(Exception):
+            pass
+
+        for engine in ("kernel", "packed", "vector"):
+            def enter(self, *args, _engine=engine, **kwargs):
+                raise Entered(_engine)
+            monkeypatch.setattr(TraceDrivenCpu, f"run_{engine}", enter)
+        keys = {}
+        for key in sorted(plan_for(list(_experiments(None))),
+                          key=lambda key: key.workload != "htap1"):
+            keys.setdefault(coverage_label(key), key)
+        report = coverage_report()
+        assert set(keys) == set(report)
+        for label, key in sorted(keys.items()):
+            with pytest.raises(Entered) as entered:
+                simulate_run_key(key)
+            assert str(entered.value) == report[label], label
 
     def test_checker_passes_against_baseline(self, capsys):
         import importlib.util
@@ -93,11 +127,16 @@ class TestKernelCoverage:
                          "benchmarks", "check_kernel_coverage.py"))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        baseline = {"cfg": "vector", "gone": "kernel"}
-        current = {"cfg": "packed", "other": "vector"}
+        baseline = {"cfg": "kernel", "gone": "kernel"}
+        current = {"cfg": "packed", "other": "kernel"}
         failures = module.check(baseline, current)
         assert len(failures) == 2
         assert any("now packed" in f for f in failures)
         assert any("no longer planned" in f for f in failures)
-        # Upgrades and new configs pass.
-        assert module.check({"cfg": "kernel"}, {"cfg": "vector"}) == []
+        # The gate is an exact match: a move to any other engine fails
+        # too, in either direction; new configs pass.
+        assert module.check({"cfg": "packed"}, {"cfg": "kernel"}) \
+            == ["cfg: dispatched to packed, now kernel"]
+        assert module.check({"cfg": "kernel"}, {"cfg": "vector"}) \
+            == ["cfg: dispatched to kernel, now vector"]
+        assert module.check({}, {"cfg": "kernel"}) == []

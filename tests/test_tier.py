@@ -32,6 +32,7 @@ from repro.experiments.runner import (
 from repro.service.protocol import parse_request
 from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
+from tests.conftest import run_trace_vector
 
 MIB = 1024 * 1024
 
@@ -176,10 +177,9 @@ class TestTierReplayIdentity:
         {"tier.mode": "cache", "tier.size_bytes": 2 * MIB},
         HYBRID,
     ], ids=["cache", "hybrid"])
-    def test_four_way_bit_identity(self, overrides, monkeypatch):
+    def test_four_way_bit_identity(self, overrides):
         """Object, packed, kernel, and vector replays agree exactly
         with a tier below the LLC."""
-        monkeypatch.setattr(vector, "MIN_VECTOR_TRACE", 0)
         dims = make_system("1P2L", 1.0).logical_dims
         program = build_workload("sgemm", "small")
         objects = list(generate_trace(program, dims))
@@ -193,8 +193,7 @@ class TestTierReplayIdentity:
         with vector.vector_disabled():
             via_kernel = run_trace(_tier_system(overrides), packed,
                                    name="t")
-        via_vector = run_trace(_tier_system(overrides), packed,
-                               name="t")
+        via_vector = run_trace_vector(_tier_system(overrides), packed)
         for run in (via_packed, via_kernel, via_vector):
             assert run.cycles == via_objects.cycles
             assert run.ops == via_objects.ops

@@ -1,12 +1,15 @@
 """The batched, array-vectorized replay path (PR-6 acceptance).
 
-Covers :mod:`repro.core.vector`: coverage dispatch
+Covers :mod:`repro.core.vector`: coverage
 (:func:`repro.core.vector.supports` and the ``vector_disabled`` pin),
 three-way bit-identity between the object path, the scalar
 ``run_kernel`` loop, and the vector loop, the dependency-window
 planner's boundary cases (windows of size 1, a chunk that is one full
 window, miss-dominated demotion to the fused kernel span), and the
-numpy-absent fallback to ``run_kernel``.
+numpy-absent replay on ``run_kernel``.  ``TraceDrivenCpu.run`` never
+dispatches to the vector loop, so the vector legs call
+``run_vector`` directly (``tests.conftest.run_trace_vector``), and the
+dispatch tests check that ``run`` keeps every trace on the kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.core.simulator import run_trace
 from repro.core.system import make_system
 from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
+from tests.conftest import run_trace_vector
 
 try:
     from hypothesis import given, settings
@@ -149,12 +153,8 @@ class TestSupports:
 class TestVectorParity:
     @pytest.mark.parametrize("design", COVERED)
     @pytest.mark.parametrize("workload", ["sobel", "htap1", "sgemm"])
-    def test_three_way_bit_identity(self, design, workload,
-                                    monkeypatch):
+    def test_three_way_bit_identity(self, design, workload):
         """Object path, run_kernel, and run_vector agree exactly."""
-        # Pin the dispatch floor so the small traces really exercise
-        # the vector loop instead of falling back to the kernel.
-        monkeypatch.setattr(vector, "MIN_VECTOR_TRACE", 0)
         system = make_system(design, 1.0)
         dims = system.logical_dims
         program = build_workload(workload, "small")
@@ -166,20 +166,19 @@ class TestVectorParity:
         with vector.vector_disabled():
             via_kernel = run_trace(make_system(design, 1.0), packed,
                                    name="t")
-        via_vector = run_trace(make_system(design, 1.0), packed,
-                               name="t")
+        via_vector = run_trace_vector(make_system(design, 1.0), packed)
         assert via_vector.cycles == via_objects.cycles
         assert via_vector.ops == via_objects.ops
         assert via_vector.stats.flat() == via_objects.stats.flat()
         assert via_vector.stats.flat() == via_kernel.stats.flat()
 
     def test_numpy_absent_run_matches_vector_run(self, monkeypatch):
-        """Without numpy, cpu.run routes to run_kernel — same stats."""
+        """Without numpy, cpu.run still replays on run_kernel — the
+        same stats as run_vector with numpy."""
         system = make_system("1P2L", 1.0)
         packed = generate_packed_trace(build_workload("sobel", "small"),
                                        system.logical_dims)
-        via_vector = run_trace(make_system("1P2L", 1.0), packed,
-                               name="t")
+        via_vector = run_trace_vector(make_system("1P2L", 1.0), packed)
         monkeypatch.setattr(vector, "_np", None)
         via_fallback = run_trace(make_system("1P2L", 1.0), packed,
                                  name="t")
@@ -194,12 +193,10 @@ class TestVectorParity:
         per-row steps; shrinking AGE_LIMIT forces that constantly.
         """
         monkeypatch.setattr(kernels, "AGE_LIMIT", 300)
-        monkeypatch.setattr(vector, "MIN_VECTOR_TRACE", 0)
         system = make_system(design, 1.0)
         packed = generate_packed_trace(build_workload("sgemm", "small"),
                                        system.logical_dims)
-        via_vector = run_trace(make_system(design, 1.0), packed,
-                               name="t")
+        via_vector = run_trace_vector(make_system(design, 1.0), packed)
         with vector.vector_disabled():
             reference = run_trace(make_system(design, 1.0), packed,
                                   name="t")
@@ -209,8 +206,7 @@ class TestVectorParity:
     def test_hot_trace_full_window_identity(self):
         """Chunks that are one full bulk window replay identically."""
         packed = _hot_trace(3 * vector.CHUNK)
-        via_vector = run_trace(make_system("1P2L", 1.0), packed,
-                               name="t")
+        via_vector = run_trace_vector(make_system("1P2L", 1.0), packed)
         with vector.vector_disabled():
             reference = run_trace(make_system("1P2L", 1.0), packed,
                                   name="t")
@@ -231,8 +227,7 @@ class TestVectorParity:
         assert not hasattr(vector, "DEMOTE_AFTER")
         assert not hasattr(vector, "DEMOTE_FRACTION")
         packed = _miss_trace(6 * vector.CHUNK + 7)
-        via_vector = run_trace(make_system("1P2L", 1.0), packed,
-                               name="t")
+        via_vector = run_trace_vector(make_system("1P2L", 1.0), packed)
         with vector.vector_disabled():
             reference = run_trace(make_system("1P2L", 1.0), packed,
                                   name="t")
@@ -246,52 +241,40 @@ class TestVectorParity:
             reqs.append(_row_vector(0, i & 7))       # hot tile: hit
             reqs.append(_row_vector(16 + (i % 512), i & 7))  # stride
         packed = PackedTrace.from_requests(reqs)
-        via_vector = run_trace(make_system("1P2L", 1.0), packed,
-                               name="t")
+        via_vector = run_trace_vector(make_system("1P2L", 1.0), packed)
         with vector.vector_disabled():
             reference = run_trace(make_system("1P2L", 1.0), packed,
                                   name="t")
         assert via_vector.cycles == reference.cycles
         assert via_vector.stats.flat() == reference.stats.flat()
 
-    def test_cpu_dispatches_vector_for_covered_design(self, monkeypatch):
-        """cpu.run prefers run_vector when vector.supports says so."""
+    def test_cpu_dispatches_kernel_for_covered_design(self, monkeypatch):
+        """cpu.run replays a vector-covered design on run_kernel.
+
+        Dispatch no longer reads ``MIN_VECTOR_TRACE``: even with the
+        floor at 0 the trace enters the scalar kernel, never the
+        vector engine.
+        """
         monkeypatch.setattr(vector, "MIN_VECTOR_TRACE", 0)
-        calls = []
-        original = vector.VectorEngine.replay
-
-        def counting(self, trace, cpu_config, cpu_group):
-            calls.append(len(trace))
-            return original(self, trace, cpu_config, cpu_group)
-
-        monkeypatch.setattr(vector.VectorEngine, "replay", counting)
+        engines = _count_engines(monkeypatch)
         system = make_system("1P2L", 1.0)
         packed = generate_packed_trace(build_workload("sobel", "small"),
                                        system.logical_dims)
         stats = StatRegistry()
-        cpu = TraceDrivenCpu(system.cpu,
-                             CacheHierarchy(system, stats), stats)
-        cpu.run(packed)
-        assert calls == [len(packed)]
+        hierarchy = CacheHierarchy(system, stats)
+        assert vector.supports(hierarchy)
+        TraceDrivenCpu(system.cpu, hierarchy, stats).run(packed)
+        assert engines == [kernels.KernelEngine]
 
     def test_cpu_keeps_short_traces_on_the_kernel(self, monkeypatch):
-        """Traces below MIN_VECTOR_TRACE replay through run_kernel.
+        """Traces on both sides of MIN_VECTOR_TRACE run on run_kernel.
 
-        Below ~2 classification chunks the vector path's planning
-        overhead outweighs the windows it finds; the dispatch floor
-        keeps those on the scalar kernel.  Results are identical
-        either way, so the check observes the engine choice directly.
+        The vector engine measures slower than the kernel on the
+        figure traces at every length, so the trace length no longer
+        decides dispatch.  Results are identical either way, so the
+        check observes the engine choice directly.
         """
-        engines = []
-        for cls in (vector.VectorEngine, kernels.KernelEngine):
-            original = cls.replay
-
-            def counting(self, trace, cpu_config, cpu_group,
-                         _orig=original):
-                engines.append(type(self))
-                return _orig(self, trace, cpu_config, cpu_group)
-
-            monkeypatch.setattr(cls, "replay", counting)
+        engines = _count_engines(monkeypatch)
 
         def run(n):
             del engines[:]
@@ -300,11 +283,25 @@ class TestVectorParity:
             cpu = TraceDrivenCpu(system.cpu,
                                  CacheHierarchy(system, stats), stats)
             cpu.run(_hot_trace(n))
-            return engines[0]
+            return engines
 
-        assert run(vector.MIN_VECTOR_TRACE - 1) \
-            is kernels.KernelEngine
-        assert run(vector.MIN_VECTOR_TRACE) is vector.VectorEngine
+        assert run(vector.MIN_VECTOR_TRACE - 1) == [kernels.KernelEngine]
+        assert run(vector.MIN_VECTOR_TRACE) == [kernels.KernelEngine]
+
+
+def _count_engines(monkeypatch):
+    """Record the engine class of every kernel or vector replay."""
+    engines = []
+    for cls in (vector.VectorEngine, kernels.KernelEngine):
+        original = cls.replay
+
+        def counting(self, trace, cpu_config, cpu_group,
+                     _orig=original):
+            engines.append(type(self))
+            return _orig(self, trace, cpu_config, cpu_group)
+
+        monkeypatch.setattr(cls, "replay", counting)
+    return engines
 
 
 class TestWindowSpans:
@@ -395,7 +392,7 @@ class TestMissPath:
 
     def _identity(self, system_factory, packed, expect_bulk=None):
         vector.BULK_MISS_ROWS[0] = 0
-        via_vector = run_trace(system_factory(), packed, name="t")
+        via_vector = run_trace_vector(system_factory(), packed)
         bulk = vector.BULK_MISS_ROWS[0]
         with vector.vector_disabled():
             reference = run_trace(system_factory(), packed, name="t")
