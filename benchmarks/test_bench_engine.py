@@ -5,12 +5,10 @@ Measures (1) raw requests/second of the default engine path (whatever
 (``TraceDrivenCpu.run_packed``, pinned via ``kernels.kernel_disabled``),
 (3) the fused flat-store kernel (``TraceDrivenCpu.run_kernel``, where
 ``run`` dispatches every covered design), gated at >= 2x the packed
-loop on the same host, (4) the vectorized window replay, called
-directly through ``TraceDrivenCpu.run_vector`` because ``run`` never
-dispatches to it, on a hit-dense trace, gated at >= 2x the fused
-kernel, (5) the sharded
+loop on the same host, (4) the 2P2L kernel against the packed loop,
+(5) replay with the die-stacked tier below the LLC, (6) the sharded
 (cold-cache-epoch) replay under a 2-worker pool versus serial, and
-(6) the end-to-end wall time of a two-figure sweep (Figs. 11 and 12
+(7) the end-to-end wall time of a two-figure sweep (Figs. 11 and 12
 restricted to two workloads) under ``--jobs 2`` versus ``--jobs 1``,
 cold and warm persistent cache.  Emits ``BENCH_engine.json`` next to
 the other benchmark artifacts; ``check_bench_regression.py`` compares
@@ -28,15 +26,12 @@ import json
 import os
 import time
 
-from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import apply_overrides
-from repro.common.stats import StatRegistry
 from repro.common.types import AccessWidth, Orientation, PackedTrace, \
     Request
-from repro.core import kernels, vector
-from repro.core.cpu import TraceDrivenCpu
-from repro.core.simulator import RunResult, clear_trace_cache, \
-    run_simulation, run_trace
+from repro.core import kernels
+from repro.core.simulator import clear_trace_cache, run_simulation, \
+    run_trace
 from repro.core.system import make_system
 from repro.experiments.plans import plan_fig11, plan_fig12
 from repro.experiments.runner import ExperimentRunner, RunKey, \
@@ -48,55 +43,21 @@ WORKLOADS = ["sgemm", "sobel"]
 ARTIFACT = os.path.join(os.path.dirname(__file__), "..",
                         "BENCH_engine.json")
 
-#: Length of the synthetic hit-dense trace the vector bench replays.
-HOT_TRACE_LEN = 1 << 18
+#: Length of the synthetic miss-heavy trace the tier bench replays.
+MISS_TRACE_LEN = 1 << 18
 
-#: Distinct tiles the miss-heavy trace cycles through.  At 7x the LLC
-#: set count every access misses L1 and hits the LLC, so each
-#: classification chunk is one ~4096-row bulk miss window.
+#: Distinct tiles the miss-heavy trace cycles through.
 MISS_TILE_COUNT = 3584
 
 
-def _hot_trace(n=HOT_TRACE_LEN):
-    """Vector reads cycling one tile's 8 row lines: all hits after the
-    8-line warmup, so windows span whole classification chunks."""
-    return PackedTrace.from_requests(
-        [Request(addr=(i & 7) << 6, orientation=Orientation.ROW,
-                 width=AccessWidth.VECTOR, is_write=False, ref_id=0)
-         for i in range(n)])
-
-
-def _miss_trace(n=HOT_TRACE_LEN):
-    """Vector reads cycling MISS_TILE_COUNT distinct tiles' row 0: the
-    working set is 56x the L1 but fits the 256KB LLC below, so every
-    access is an L1 miss served by the second level."""
+def _miss_trace(n=MISS_TRACE_LEN):
+    """Vector reads cycling MISS_TILE_COUNT distinct tiles' row 0: a
+    1.75MB working set, 56x the L1."""
     return PackedTrace.from_requests(
         [Request(addr=(i % MISS_TILE_COUNT) << 9,
                  orientation=Orientation.ROW,
                  width=AccessWidth.VECTOR, is_write=False, ref_id=0)
          for i in range(n)])
-
-
-def _run_vector(system, packed, name):
-    """``run_trace`` pinned to ``TraceDrivenCpu.run_vector``."""
-    stats = StatRegistry()
-    cpu = TraceDrivenCpu(system.cpu, CacheHierarchy(system, stats), stats)
-    cycles = cpu.run_vector(packed)
-    return RunResult(system=system, workload=name, cycles=cycles,
-                     ops=stats.group("cpu").get("ops"), stats=stats)
-
-
-def _miss_system():
-    """Two-level system whose LLC holds the miss trace's working set:
-    a stock 4KB L1 under a 256KB SRAM second level (512 sets x 8
-    ways), so the replay is a pure L1-miss / L2-hit stream."""
-    from repro.common.config import CpuConfig, MemoryConfig, \
-        SystemConfig
-    from repro.core.system import _l1, _llc_sram
-    return SystemConfig(
-        levels=[_l1(2),
-                _llc_sram(256 * 1024, 2, "different_set", name="L2")],
-        memory=MemoryConfig(), cpu=CpuConfig())
 
 
 def _sweep_keys():
@@ -181,9 +142,7 @@ def test_kernel_loop_requests_per_second(benchmark):
     assert kernels.KERNEL_ENABLED
 
     def kernel_run():
-        with vector.vector_disabled():
-            return run_simulation(system, workload="sgemm",
-                                  size="small")
+        return run_simulation(system, workload="sgemm", size="small")
 
     result = benchmark.pedantic(kernel_run, rounds=9, iterations=1)
     assert result.cycles == reference.cycles
@@ -230,9 +189,7 @@ def test_kernel_2p2l_requests_per_second(benchmark):
     assert check.cycles == reference.cycles
 
     def kernel_run():
-        with vector.vector_disabled():
-            return run_simulation(system, workload="sgemm",
-                                  size="small")
+        return run_simulation(system, workload="sgemm", size="small")
 
     result = benchmark.pedantic(kernel_run, rounds=9, iterations=1)
     assert result.cycles == reference.cycles
@@ -250,106 +207,6 @@ def test_kernel_2p2l_requests_per_second(benchmark):
     # PR-7 acceptance: the 2P2L kernel replay must clear 1.8x the
     # packed loop on the same trace and host.
     assert rps >= 1.8 * packed_rps
-
-
-def test_vector_loop_requests_per_second(benchmark):
-    """The vector window replay clears 2x the fused kernel loop.
-
-    Called through ``run_vector`` (``run`` never dispatches there) on
-    a hit-dense trace — the regime dependency windows
-    exist for: after an 8-line warmup every classification chunk is
-    one full bulk window, so the replay is numpy scatters end to end.
-    The scalar kernel replays the same trace (pinned) for an honest
-    same-trace ratio; the recorded PR-6 acceptance gate compares
-    against the sgemm-based ``kernel_loop_requests_per_sec`` above.
-    Results stay bit-identical to the pinned kernel run.
-    """
-    packed = _hot_trace()
-    system = make_system("1P2L", 1.0)
-
-    kernel_best = None
-    for _ in range(3):
-        started = time.perf_counter()
-        with vector.vector_disabled():
-            reference = run_trace(system, packed, name="hot")
-        elapsed = time.perf_counter() - started
-        kernel_best = elapsed if kernel_best is None \
-            else min(kernel_best, elapsed)
-
-    result = benchmark.pedantic(_run_vector, args=(system, packed),
-                                kwargs={"name": "hot"},
-                                rounds=5, iterations=1)
-    assert result.cycles == reference.cycles
-    assert result.stats.flat() == reference.stats.flat()
-    seconds = benchmark.stats["min"]
-    rps = result.ops / seconds
-    same_trace = (result.ops / kernel_best) if kernel_best else 0.0
-    kernel_rps = _read_artifact().get("kernel_loop_requests_per_sec")
-    note = f" = {rps / kernel_rps:.2f}x kernel loop" if kernel_rps \
-        else ""
-    print(f"\nvector loop: {result.ops} requests in {seconds:.3f}s "
-          f"(best of 5) = {rps:,.0f} req/s{note} "
-          f"({rps / same_trace:.2f}x same-trace kernel)")
-    _merge_artifact({
-        "vector_loop_requests_per_sec": round(rps),
-        "vector_same_trace_kernel_requests_per_sec":
-            round(same_trace),
-    })
-    # PR-6 acceptance: >= 2x the fused kernel loop recorded on the
-    # same host.  The same-trace floor is softer (1.3x) — the shared
-    # single-core CI runner is noisy and the honest margin is ~2x.
-    if kernel_rps:
-        assert rps >= 2.0 * kernel_rps
-    assert rps >= 1.3 * same_trace
-    assert rps >= 1_000_000, "the 1M+ req/s headline must hold"
-
-
-def test_vector_miss_loop_requests_per_second(benchmark):
-    """The vector replay clears 2x the scalar kernel on a miss-heavy
-    trace — the regime this PR vectorized.
-
-    Every access in the trace is an L1 miss served by the 256KB second
-    level, so each classification chunk retires through the bulk-miss
-    path: set-grouped MSHR allocation against the flat table, one
-    latency scatter for the fills, and the uniform-window fast path
-    for the clock recurrence.  The vector leg is called through
-    ``run_vector``; the scalar kernel replays the same
-    trace (pinned via ``vector_disabled``) for a same-host,
-    same-trace ratio; results must stay bit-identical between the two
-    pins.  ``check_bench_regression.py`` enforces the 2x ratio on the
-    recorded pair.
-    """
-    system = _miss_system()
-    packed = _miss_trace()
-
-    kernel_best = None
-    for _ in range(3):
-        started = time.perf_counter()
-        with vector.vector_disabled():
-            reference = run_trace(system, packed, name="missloop")
-        elapsed = time.perf_counter() - started
-        kernel_best = elapsed if kernel_best is None \
-            else min(kernel_best, elapsed)
-
-    result = benchmark.pedantic(_run_vector, args=(system, packed),
-                                kwargs={"name": "missloop"},
-                                rounds=5, iterations=1)
-    assert result.cycles == reference.cycles
-    assert result.stats.flat() == reference.stats.flat()
-    seconds = benchmark.stats["min"]
-    rps = result.ops / seconds
-    kernel_rps = result.ops / kernel_best
-    ratio = rps / kernel_rps
-    print(f"\nvector miss loop: {result.ops} requests in "
-          f"{seconds:.3f}s (best of 5) = {rps:,.0f} req/s "
-          f"({ratio:.2f}x same-trace kernel {kernel_rps:,.0f} req/s)")
-    _merge_artifact({
-        "vector_miss_loop_requests_per_sec": round(rps),
-        "vector_miss_loop_kernel_requests_per_sec": round(kernel_rps),
-    })
-    # Acceptance: the vectorized miss path must clear 2x the pinned
-    # scalar kernel on the same trace and host.
-    assert rps >= 2.0 * kernel_rps
 
 
 def test_tier_replay_requests_per_second(benchmark):
@@ -371,8 +228,7 @@ def test_tier_replay_requests_per_second(benchmark):
     system = apply_overrides(make_system("1P2L", 1.0), overrides)
     packed = _miss_trace()
 
-    with vector.vector_disabled():
-        reference = run_trace(system, packed, name="tierloop")
+    reference = run_trace(system, packed, name="tierloop")
     tier_stats = {name: value
                   for name, value in reference.stats.flat().items()
                   if name.startswith("tier.")}

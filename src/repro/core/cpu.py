@@ -83,10 +83,7 @@ def packed_engine(hierarchy: CacheHierarchy, sampling: bool) -> str:
 
     ``"kernel"`` when the fused flat-store kernel covers the hierarchy
     and no occupancy sampler needs per-request callbacks, else
-    ``"packed"``.  The trace length plays no part, and the batched
-    window replay (:meth:`TraceDrivenCpu.run_vector`) is never picked:
-    on the figures' miss-dense traces it measures slower than the
-    kernel (docs/PERFORMANCE.md §6).
+    ``"packed"``.  The trace length plays no part.
     """
     if not sampling and kernels.supports(hierarchy):
         return "kernel"
@@ -174,18 +171,17 @@ class TraceDrivenCpu:
         return engine.replay(trace, self._config, self._stats)
 
     def run_vector(self, trace: PackedTrace) -> int:
-        """Execute a packed trace through the batched window replay.
+        """Stub of the retired batched window replay engine.
 
-        Only valid when :func:`repro.core.vector.supports` accepts the
-        hierarchy.  :meth:`run` never dispatches here; tests and engine
-        benches call it directly.  Statistics are bit-identical to
-        :meth:`run_kernel` (and hence to the object path): hit-dense
-        dependency windows retire through numpy scatters, everything
-        else through an exact scalar step.
+        The engine was deleted (docs/PERFORMANCE.md §6).  The name stays
+        on the class only because ``perfbench/layers.py`` wraps it for
+        the benchmark's engine census; the benchmark change that drops
+        the census's vector pin deletes it, with
+        :mod:`repro.core.vector`.
         """
-        from . import vector
-        engine = vector.VectorEngine(self._hierarchy)
-        return engine.replay(trace, self._config, self._stats)
+        raise NotImplementedError(
+            "the vector replay engine was removed; run() replays on "
+            "run_kernel or run_packed")
 
     def _flush_latency_histogram(self, hist: List[int]) -> None:
         """Record per-request latency buckets (bucket = bit_length)."""

@@ -563,171 +563,6 @@ class _FlatStore:
         return self.pending_at.get(line)
 
 
-#: Packed-word layout of :class:`MshrTable` entries:
-#: ``completion << 20 | target_slot << 4 | serving_level``.  Twenty
-#: low bits leave 44 for the completion cycle — the same headroom the
-#: meta words give LRU stamps.
-MSHR_LEVEL_BITS = 4
-MSHR_SLOT_BITS = 16
-MSHR_NO_SLOT = (1 << MSHR_SLOT_BITS) - 1
-_MSHR_LEVEL_MASK = (1 << MSHR_LEVEL_BITS) - 1
-_MSHR_SLOT_SHIFT = MSHR_LEVEL_BITS
-_MSHR_COMP_SHIFT = MSHR_LEVEL_BITS + MSHR_SLOT_BITS
-
-
-def pack_mshr_word(completion: int, level: int,
-                   slot: int = MSHR_NO_SLOT) -> int:
-    """Pack one pending fill into a 64-bit MSHR table word."""
-    return (completion << _MSHR_COMP_SHIFT) | (slot << _MSHR_SLOT_SHIFT) \
-        | level
-
-
-def unpack_mshr_word(word: int):
-    """Inverse of :func:`pack_mshr_word`: ``(completion, slot, level)``."""
-    return (word >> _MSHR_COMP_SHIFT,
-            (word >> _MSHR_SLOT_SHIFT) & MSHR_NO_SLOT,
-            word & _MSHR_LEVEL_MASK)
-
-
-class MshrTable:
-    """Flat FIFO MSHR mirror for window-scoped bulk fills.
-
-    Entries live as packed 64-bit pending words (:func:`pack_mshr_word`)
-    in one append-only ``array('Q')`` behind a retire ``head`` pointer.
-    The table relies on window completions being nondecreasing in
-    insertion order — which bulk qualification enforces and
-    :attr:`monotone` tracks — so retirement pops strictly front to
-    back, the capacity scan's ``min(pending.values())`` is always the
-    head word, and merge (coalesce), retire, and the ``earliest``
-    retirement gate mirror the inlined object MSHR of
-    :class:`_FlatStore` bit for bit.  :meth:`seed` copies a store's
-    pending file in and :meth:`flush` writes the survivors back out, so
-    a window retired through this table leaves the store exactly where
-    the scalar transactions would have.  Because the word/line arrays
-    are append-only (pops only advance ``head``), a bulk executor can
-    rewind a partially executed row by restoring ``head``,
-    ``earliest``, and ``last_completion``.
-    """
-
-    __slots__ = ("words", "lines", "index", "head", "earliest",
-                 "monotone", "last_completion")
-
-    def __init__(self) -> None:
-        self.words = array("Q")
-        self.lines: List[int] = []
-        self.index: Dict[int, int] = {}
-        self.head = 0
-        self.earliest = None
-        self.monotone = True
-        self.last_completion = None
-
-    def __len__(self) -> int:
-        return len(self.lines) - self.head
-
-    @classmethod
-    def seed(cls, store: "_FlatStore") -> "MshrTable":
-        """Copy ``store``'s pending file into a fresh table.
-
-        A seed whose completions are not nondecreasing in the dict's
-        insertion order (possible when earlier fills resolved at mixed
-        depths) clears :attr:`monotone`; callers must bail to the
-        scalar path then — the FIFO retire would pop out of order.
-        """
-        table = cls()
-        lvl = store.pending_lvl
-        index = table.index
-        lines = table.lines
-        words = table.words
-        last = None
-        for line, completion in store.pending_at.items():
-            if last is not None and completion < last:
-                table.monotone = False
-            last = completion
-            index[line] = len(lines)
-            lines.append(line)
-            words.append(pack_mshr_word(completion, lvl[line]))
-        table.last_completion = last
-        table.earliest = store.earliest
-        return table
-
-    def completion_of(self, line: int):
-        """Pending completion of ``line`` or None (the merge probe)."""
-        pos = self.index.get(line)
-        if pos is None:
-            return None
-        return self.words[pos] >> _MSHR_COMP_SHIFT
-
-    def level_of(self, line: int) -> int:
-        return self.words[self.index[line]] & _MSHR_LEVEL_MASK
-
-    def slot_of_line(self, line: int) -> int:
-        return (self.words[self.index[line]] >> _MSHR_SLOT_SHIFT) \
-            & MSHR_NO_SLOT
-
-    def min_completion(self) -> int:
-        return self.words[self.head] >> _MSHR_COMP_SHIFT
-
-    def retire(self, now: int) -> None:
-        """``_FlatStore._mshr_retire`` parity, head-pointer-driven."""
-        head = self.head
-        lines = self.lines
-        n = len(lines)
-        if head >= n:
-            return
-        earliest = self.earliest
-        if earliest is not None and now < earliest:
-            return
-        words = self.words
-        index = self.index
-        while head < n and (words[head] >> _MSHR_COMP_SHIFT) <= now:
-            del index[lines[head]]
-            head += 1
-        self.head = head
-        self.earliest = (words[head] >> _MSHR_COMP_SHIFT) if head < n \
-            else None
-
-    def insert(self, line: int, completion: int, level: int,
-               issue: int, slot: int = MSHR_NO_SLOT) -> None:
-        """``_FlatStore._mshr_insert`` parity minus the counter bumps."""
-        last = self.last_completion
-        if last is not None and completion < last:
-            self.monotone = False
-        self.last_completion = completion
-        self.index[line] = len(self.lines)
-        self.lines.append(line)
-        self.words.append(pack_mshr_word(completion, level, slot))
-        earliest = self.earliest
-        if earliest is None or issue < earliest:
-            earliest = issue
-        if completion < earliest:
-            earliest = completion
-        self.earliest = earliest
-
-    def flush(self, store: "_FlatStore") -> None:
-        """Write the surviving entries back into ``store``'s pending
-        file (dict order is never observed by the scalar paths — every
-        consumer scans for a min or a key).  Reads only the live
-        ``[head:]`` region of the flat arrays, never the index, so a
-        rewound table flushes correctly too."""
-        pending_at = store.pending_at
-        pending_lvl = store.pending_lvl
-        tiles = store.pending_tiles
-        pending_at.clear()
-        pending_lvl.clear()
-        tiles.clear()
-        words = self.words
-        lines = self.lines
-        for pos in range(self.head, len(lines)):
-            line = lines[pos]
-            word = words[pos]
-            pending_at[line] = word >> _MSHR_COMP_SHIFT
-            pending_lvl[line] = word & _MSHR_LEVEL_MASK
-            key = line >> 3
-            count = tiles.get(key)
-            tiles[key] = 1 if count is None else count + 1
-        store.earliest = self.earliest
-
-
 class _Kernel2L(_FlatStore):
     """Flat-store mirror of :class:`repro.cache.cache_1p2l.Cache1P2L`."""
 
@@ -1590,75 +1425,22 @@ def _flush_shared(cpu_group, l1, ops, now, stalled, tracked,
             cpu_group.set(LAT_HIST_KEYS[bucket], count)
 
 
-class _Span2L:
-    """Carried state of a ranged fused 2-D replay.
-
-    One instance spans one logical replay: the clock, the cumulative
-    stall cycles, the outstanding-read heap, the latency histogram,
-    and the loop-local counters :func:`_flush_shared` folds at the
-    end.  :func:`_replay_2l` threads one instance through a single
-    full-trace span; the vector engine (:mod:`repro.core.vector`)
-    threads one through interleaved scalar spans and bulk windows.
-    """
-
-    __slots__ = ("now", "stalled", "window", "hist", "n_hits",
-                 "n_misses", "n_probes", "n_tracked")
-
-    def __init__(self) -> None:
-        self.now = 0
-        self.stalled = 0
-        self.window: List[int] = []
-        self.hist = [0] * len(LAT_HIST_KEYS)
-        self.n_hits = 0
-        self.n_misses = 0
-        self.n_probes = 0
-        self.n_tracked = 0
-
-
 def _replay_2l(engine: KernelEngine, trace, cpu_config,
                cpu_group) -> int:
     """Fused replay over a logically 2-D (1P2L) L1.
 
-    Predecodes, replays the whole trace as one span, then drains the
-    outstanding window, runs the hierarchy's posted-write horizon, and
-    folds the carried counters into the shared cells.
-    """
-    l1 = engine.levels[0]
-    packed, demand = _predecode_2l(trace.words)
-    state = _Span2L()
-    _replay_2l_span(engine, packed, 0, len(packed), cpu_config, state)
-    now = state.now
-    window = state.window
-    while window:
-        earliest = heappop(window)
-        if earliest > now:
-            now = earliest
-    horizon = engine.hierarchy.finish(now)
-    if horizon > now:
-        now = horizon
-    _flush_shared(cpu_group, l1, len(trace), now, state.stalled,
-                  state.n_tracked, state.n_hits, state.n_misses,
-                  state.n_probes, demand, state.hist)
-    return now
-
-
-def _replay_2l_span(engine: KernelEngine, packed, start, stop,
-                    cpu_config, state) -> None:
-    """Replay predecoded requests ``[start, stop)``, carrying ``state``.
-
     One function, local-variable bindings only: the four request modes
     dispatch on two packed-word bits, the plain-hit cases complete
     inline against the flat stores, and only misses and duplicate-copy
-    cases drop into the (still flat) slow-path methods.  The shared
-    counter cells are exact after every call (the span-local
-    accumulators fold on exit), so spans interleave freely with other
-    exact replay steps against the same engine.
+    cases drop into the (still flat) slow-path methods.  The loop-local
+    accumulators fold into the shared counter cells at the end.
     """
     l1 = engine.levels[0]
-    now = state.now
-    stalled = state.stalled
-    window = state.window
-    hist = state.hist
+    packed, demand = _predecode_2l(trace.words)
+    now = 0
+    stalled = 0
+    window: List[int] = []
+    hist = [0] * len(LAT_HIST_KEYS)
     window_size = cpu_config.mlp_window
     issue_cost = cpu_config.cycles_per_op
     cfg = l1.cfg
@@ -1720,11 +1502,7 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     n_coal = n_new_fills = n_evict = n_l2_serves = 0
     lvl1 = l1.level_index
     n_hits = n_misses = n_probes = n_tracked = 0
-    if start == 0 and stop >= len(packed):
-        span = packed
-    else:
-        span = packed[start:stop]
-    for p in span:
+    for p in packed:
         line = p >> 7
         mode = (p >> 4) & 3  # is_write | width << 1
         now += issue_cost
@@ -1967,12 +1745,16 @@ def _replay_2l_span(engine: KernelEngine, packed, start, stop,
     if n_l2_serves:
         l2.c_fetch_requests.value += n_l2_serves
         l2.c_tag_probes.value += n_l2_serves
-    state.now = now
-    state.stalled = stalled
-    state.n_hits += n_hits
-    state.n_misses += n_misses
-    state.n_probes += n_probes
-    state.n_tracked += n_tracked
+    while window:
+        earliest = heappop(window)
+        if earliest > now:
+            now = earliest
+    horizon = engine.hierarchy.finish(now)
+    if horizon > now:
+        now = horizon
+    _flush_shared(cpu_group, l1, len(trace), now, stalled, n_tracked,
+                  n_hits, n_misses, n_probes, demand, hist)
+    return now
 
 
 def _replay_2l_dyn(engine: KernelEngine, trace, cpu_config,
@@ -2180,42 +1962,15 @@ def _replay_1l(engine: KernelEngine, trace, cpu_config,
                cpu_group) -> int:
     """Fused replay over a conventional (1P1L) L1.
 
-    Predecodes, replays the whole trace as one span, then drains the
-    outstanding window, runs the hierarchy's posted-write horizon, and
-    folds the carried counters into the shared cells.
+    The 1P1L counterpart of :func:`_replay_2l`: one probe per request,
+    hits inline, misses through :meth:`_Kernel1L.get_line_miss`.
     """
     l1 = engine.levels[0]
     packed, demand = _predecode_1l(trace.words)
-    state = _Span2L()
-    _replay_1l_span(engine, packed, 0, len(packed), cpu_config, state)
-    now = state.now
-    window = state.window
-    while window:
-        earliest = heappop(window)
-        if earliest > now:
-            now = earliest
-    horizon = engine.hierarchy.finish(now)
-    if horizon > now:
-        now = horizon
-    _flush_shared(cpu_group, l1, len(trace), now, state.stalled,
-                  state.n_tracked, state.n_hits, state.n_misses,
-                  state.n_probes, demand, state.hist)
-    return now
-
-
-def _replay_1l_span(engine: KernelEngine, packed, start, stop,
-                    cpu_config, state) -> None:
-    """Replay 1-D predecoded requests ``[start, stop)`` with ``state``.
-
-    The 1P1L counterpart of :func:`_replay_2l_span`: shared counter
-    cells are exact after every call, so the vector engine can
-    interleave scalar spans with bulk windows against the same engine.
-    """
-    l1 = engine.levels[0]
-    now = state.now
-    stalled = state.stalled
-    window = state.window
-    hist = state.hist
+    now = 0
+    stalled = 0
+    window: List[int] = []
+    hist = [0] * len(LAT_HIST_KEYS)
     window_size = cpu_config.mlp_window
     issue_cost = cpu_config.cycles_per_op
     cfg = l1.cfg
@@ -2236,11 +1991,7 @@ def _replay_1l_span(engine: KernelEngine, packed, start, stop,
     lvl1 = l1.level_index
     scalar, vector = _SCALAR, _VECTOR
     n_hits = n_misses = n_probes = n_tracked = 0
-    if start == 0 and stop >= len(packed):
-        span = packed
-    else:
-        span = packed[start:stop]
-    for p in span:
+    for p in packed:
         line = p >> 5
         mode = (p >> 3) & 3  # is_write | width << 1
         is_write = mode & 1
@@ -2294,9 +2045,13 @@ def _replay_1l_span(engine: KernelEngine, packed, start, stop,
                 if earliest > now:
                     stalled += earliest - now
                     now = earliest
-    state.now = now
-    state.stalled = stalled
-    state.n_hits += n_hits
-    state.n_misses += n_misses
-    state.n_probes += n_probes
-    state.n_tracked += n_tracked
+    while window:
+        earliest = heappop(window)
+        if earliest > now:
+            now = earliest
+    horizon = engine.hierarchy.finish(now)
+    if horizon > now:
+        now = horizon
+    _flush_shared(cpu_group, l1, len(trace), now, stalled, n_tracked,
+                  n_hits, n_misses, n_probes, demand, hist)
+    return now

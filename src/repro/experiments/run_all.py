@@ -229,6 +229,7 @@ def run_all(outdir: str = "results",
     # persistent cache where possible, worker processes otherwise);
     # the per-figure run loops below then replay them as memo hits.
     plan = apply_shards(plan_for(selected), shards)
+    worker_seconds: Dict[RunKey, float] = {}
     if plan:
         if verbose:
             print(f"== prefetch: {len(plan)} unique simulation points "
@@ -243,11 +244,13 @@ def run_all(outdir: str = "results",
             resume=resume,
             fault_plan=fault_plan)
         report = supervisor.supervise(plan)
+        worker_seconds = report.seconds
         if verbose and (report.retries or report.resumed
                         or report.degraded_serial):
             print(f"== supervisor: {report.describe()} ==",
                   file=sys.stderr)
     summary: Dict[str, Dict[str, float]] = {}
+    claimed = set()
     for name in selected:
         thunk, extract = experiments[name]
         started = time.time()
@@ -257,8 +260,15 @@ def run_all(outdir: str = "results",
         report = result.report()
         with open(os.path.join(outdir, f"{name}.txt"), "w") as handle:
             handle.write(report + "\n")
-        summary[name] = dict(extract(result),
-                             seconds=round(time.time() - started, 1))
+        # The prefetch simulated this figure's points before its
+        # report ran: charge it the worker seconds of the points it
+        # planned first.
+        own = [key for key in apply_shards(plan_for([name]), shards)
+               if key not in claimed]
+        claimed.update(own)
+        seconds = time.time() - started \
+            + sum(worker_seconds.get(key, 0.0) for key in own)
+        summary[name] = dict(extract(result), seconds=round(seconds, 1))
     if verbose:
         info = runner.cache_info()
         print(f"== run cache: {info.describe()} ==", file=sys.stderr)

@@ -271,6 +271,8 @@ class SweepReport:
     failed: List[Tuple[RunKey, str]] = field(default_factory=list)
     interrupted: bool = False
     degraded_serial: bool = False
+    #: Worker seconds of every point this sweep simulated.
+    seconds: Dict[RunKey, float] = field(default_factory=dict)
 
     @property
     def completed(self) -> int:
@@ -715,6 +717,7 @@ class Supervisor:
                   attempt: int, report: SweepReport) -> None:
         self._runner.record_result(key, result, seconds=seconds)
         report.simulated += 1
+        report.seconds[key] = seconds
         self._journal_run(key, ck, "done", attempt=attempt,
                           seconds=round(seconds, 3))
 

@@ -117,20 +117,3 @@ def small_config(name: str = "L1", size_kb: int = 1, assoc: int = 4,
 @pytest.fixture
 def memory_config() -> MemoryConfig:
     return MemoryConfig()
-
-
-def run_trace_vector(system, trace, name: str = "t"):
-    """:func:`repro.core.simulator.run_trace` pinned to the vector engine.
-
-    ``TraceDrivenCpu.run`` never dispatches to the batched window
-    replay, so tests holding it bit-identical to the other engines
-    call :meth:`TraceDrivenCpu.run_vector` through this helper.
-    """
-    from repro.cache.hierarchy import CacheHierarchy
-    from repro.core.cpu import TraceDrivenCpu
-    from repro.core.simulator import RunResult
-    stats = StatRegistry()
-    cpu = TraceDrivenCpu(system.cpu, CacheHierarchy(system, stats), stats)
-    cycles = cpu.run_vector(trace)
-    return RunResult(system=system, workload=name, cycles=cycles,
-                     ops=stats.group("cpu").get("ops"), stats=stats)

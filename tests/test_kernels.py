@@ -1,12 +1,15 @@
 """The structure-of-arrays cache kernels (PR-4/PR-7 acceptance).
 
 Covers the fused flat-store replay path: coverage dispatch
-(:func:`repro.core.kernels.supports` and the ``kernel_disabled`` pin),
-three-way bit-identity between the object path, ``run_packed``, and
-``run_kernel`` — including the 2P2L family (dense and sparse block
-fill, duplicate-copy coherence) and dynamic orientation prediction —
-the flat-store replacement edge cases (LRU age saturation and
-compaction, eviction tie-breaking, orientation-bit preservation across
+(:func:`repro.core.kernels.supports`, the ``kernel_disabled`` pin, and
+``cpu.run`` entering the kernel whatever the trace length), three-way
+bit-identity between the object path, ``run_packed``, and
+``run_kernel`` — on generated workloads and synthetic hit-dense,
+miss-dominated, and alternating streams, including the 2P2L family
+(dense and sparse block fill, duplicate-copy coherence) and dynamic
+orientation prediction — the flat-store replacement edge cases (LRU age
+saturation and compaction, stamp collisions under a fill on every
+access, eviction tie-breaking, orientation-bit preservation across
 evictions in same-set mode), the packed presence/dirty block-word
 round-trips, and the numpy / pure-Python predecode equivalence.
 """
@@ -29,13 +32,12 @@ from repro.common.types import (
     PackedTrace,
     Request,
 )
-from repro.core import kernels, vector
+from repro.core import kernels
 from repro.core.cpu import TraceDrivenCpu
 from repro.core.simulator import run_trace
 from repro.core.system import make_system
 from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
-from tests.conftest import run_trace_vector
 
 try:
     from hypothesis import given, settings
@@ -53,9 +55,108 @@ COVERED = ("1P1L", "1P2L", "1P2L_SameSet", "1P2L_Dyn", "2P2L",
 UNCOVERED = ("2P2L_L1",)
 
 
+#: Design name of :func:`_miss_system`, for parametrized cases.
+MISS_SYSTEM = "L1+L2"
+
+
 def _hierarchy(design, replacement="lru"):
     system = make_system(design, 1.0)
     return system, CacheHierarchy(system, StatRegistry(), replacement)
+
+
+def _miss_system():
+    """Two-level system whose 256KB SRAM second level (512 sets x 8
+    ways) holds a multi-thousand-tile working set: every access of
+    :func:`_wide_miss_trace` is an L1 miss served by the second
+    level."""
+    from repro.common.config import CpuConfig, MemoryConfig, \
+        SystemConfig
+    from repro.core.system import _l1, _llc_sram
+    return SystemConfig(
+        levels=[_l1(2),
+                _llc_sram(256 * 1024, 2, "different_set", name="L2")],
+        memory=MemoryConfig(), cpu=CpuConfig())
+
+
+def _system(design):
+    if design == MISS_SYSTEM:
+        return _miss_system()
+    return make_system(design, 1.0)
+
+
+def _row_vector(tile, row):
+    """A vector read of row line ``row`` in ``tile`` (see decoder.py)."""
+    return Request(addr=((tile << 6) | (row << 3)) << 3,
+                   orientation=Orientation.ROW,
+                   width=AccessWidth.VECTOR,
+                   is_write=False, ref_id=0)
+
+
+def _hot_trace(n):
+    """Vector reads cycling one tile's 8 row lines: hits after warmup."""
+    return [_row_vector(0, i & 7) for i in range(n)]
+
+
+def _strided_trace(n):
+    """Vector reads striding distinct tiles: miss-dominated."""
+    return [_row_vector(i % 4096, i & 7) for i in range(n)]
+
+
+def _alternating_trace(n):
+    """Alternating hit/miss rows: a hot tile interleaved with a stride."""
+    reqs = []
+    for i in range(n // 2):
+        reqs.append(_row_vector(0, i & 7))
+        reqs.append(_row_vector(16 + (i % 512), i & 7))
+    return reqs
+
+
+def _wide_miss_trace(n, tiles=3584):
+    """Row-0 vector reads cycling ``tiles`` distinct tiles."""
+    return [_row_vector(i % tiles, 0) for i in range(n)]
+
+
+def _mixed_trace(n):
+    """Runs of 64 hot-set reads alternating with runs of 64 misses."""
+    return [_row_vector(i & 7, (i >> 3) & 7) if (i >> 6) & 1
+            else _row_vector(64 + (i % 3072), 0) for i in range(n)]
+
+
+#: Synthetic request streams replayed next to the generated workloads.
+SYNTHETIC = {
+    "hot": lambda: _hot_trace(12_288),
+    "strided_miss": lambda: _strided_trace(24_583),
+    "alternating": lambda: _alternating_trace(4096),
+    "wide_miss": lambda: _wide_miss_trace(16_384),
+    # 4608 tiles overflow the 4096-line second level: every set is
+    # full, so every fill there evicts a victim.
+    "thrash": lambda: _wide_miss_trace(16_384, tiles=4608),
+    "mixed": lambda: _mixed_trace(16_384),
+}
+
+
+def _traces(workload, dims):
+    """``(request list, packed trace)`` of a workload or synthetic
+    stream, for the object and packed replay paths."""
+    if workload in SYNTHETIC:
+        objects = SYNTHETIC[workload]()
+        return objects, PackedTrace.from_requests(objects)
+    program = build_workload(workload, "small")
+    return (list(generate_trace(program, dims)),
+            generate_packed_trace(program, dims))
+
+
+def _count_engines(monkeypatch):
+    """Record the engine class of every kernel replay."""
+    engines = []
+    original = kernels.KernelEngine.replay
+
+    def counting(self, trace, cpu_config, cpu_group):
+        engines.append(type(self))
+        return original(self, trace, cpu_config, cpu_group)
+
+    monkeypatch.setattr(kernels.KernelEngine, "replay", counting)
+    return engines
 
 
 class TestSupports:
@@ -130,42 +231,65 @@ class TestSupports:
                 sample_every=256)
         assert samples
 
+    @pytest.mark.parametrize("length", [8191, 8192])
+    def test_run_enters_the_kernel(self, monkeypatch, length):
+        """``cpu.run`` replays a covered design on ``run_kernel`` on
+        both sides of the 8192-request floor a batched engine once
+        used: dispatch reads only the hierarchy and whether a sampler
+        is attached, never the trace length."""
+        engines = _count_engines(monkeypatch)
+        system = make_system("1P2L", 1.0)
+        stats = StatRegistry()
+        cpu = TraceDrivenCpu(system.cpu,
+                             CacheHierarchy(system, stats), stats)
+        cpu.run(PackedTrace.from_requests(_hot_trace(length)))
+        assert engines == [kernels.KernelEngine]
+
 
 class TestKernelParity:
-    @pytest.mark.parametrize("design", COVERED)
-    @pytest.mark.parametrize("workload", ["sobel", "htap1"])
-    def test_three_way_bit_identity(self, design, workload):
+    @pytest.mark.parametrize("workload,design", [
+        *((workload, design) for workload in ("htap1", "sobel", "sgemm")
+          for design in COVERED),
+        # Hit-dense, miss-dominated, and alternating hit/miss streams;
+        # a pure L1-miss / L2-hit stream, one that thrashes the second
+        # level, and runs of hits between runs of misses.
+        ("hot", "1P2L"),
+        ("strided_miss", "1P2L"),
+        ("alternating", "1P2L"),
+        ("wide_miss", MISS_SYSTEM),
+        ("thrash", MISS_SYSTEM),
+        ("mixed", MISS_SYSTEM),
+    ])
+    def test_three_way_bit_identity(self, workload, design):
         """Object path, run_packed, and run_kernel agree exactly."""
-        system = make_system(design, 1.0)
-        dims = system.logical_dims
-        program = build_workload(workload, "small")
-        objects = list(generate_trace(program, dims))
-        packed = generate_packed_trace(program, dims)
+        objects, packed = _traces(workload,
+                                  _system(design).logical_dims)
 
-        via_objects = run_trace(make_system(design, 1.0), objects,
-                                name="t")
+        via_objects = run_trace(_system(design), objects, name="t")
         with kernels.kernel_disabled():
-            via_packed = run_trace(make_system(design, 1.0), packed,
-                                   name="t")
-        # run_trace replays covered designs on the scalar kernel
-        # (tests/test_vector.py covers the vector leg of the same
-        # identity).
-        with vector.vector_disabled():
-            via_kernel = run_trace(make_system(design, 1.0), packed,
-                                   name="t")
+            via_packed = run_trace(_system(design), packed, name="t")
+        # run_trace replays covered designs on the scalar kernel.
+        via_kernel = run_trace(_system(design), packed, name="t")
         assert via_kernel.cycles == via_objects.cycles
         assert via_kernel.ops == via_objects.ops
         assert via_kernel.stats.flat() == via_objects.stats.flat()
         assert via_kernel.stats.flat() == via_packed.stats.flat()
 
-    @pytest.mark.parametrize("design", COVERED)
+    @pytest.mark.parametrize("design,workload,age_limit", [
+        *((design, "sgemm", 300) for design in COVERED),
+        # Stamp collision: every access fills a line, so fills race
+        # the limit.  It is shrunk enough to cross it about a dozen
+        # times per replay, not so far that every access recompacts
+        # the 3584 lines resident in the second level.
+        (MISS_SYSTEM, "wide_miss", 5_000),
+    ], ids=[*COVERED, "stamp_collision"])
     def test_age_saturation_compacts_and_preserves_order(
-            self, monkeypatch, design):
+            self, monkeypatch, design, workload, age_limit):
         """Hitting AGE_LIMIT mid-run must not disturb LRU order.
 
-        Shrinking the limit forces many in-place compactions over a
-        real workload; the run must stay bit-identical to the object
-        path, whose LruSet never saturates.
+        Shrinking the limit forces many in-place compactions; the run
+        must stay bit-identical to the object path, whose LruSet never
+        saturates.
         """
         compactions = []
         original = kernels._FlatStore._compact_ages
@@ -174,29 +298,16 @@ class TestKernelParity:
             compactions.append(store.level_index)
             original(store)
 
-        monkeypatch.setattr(kernels, "AGE_LIMIT", 300)
+        monkeypatch.setattr(kernels, "AGE_LIMIT", age_limit)
         monkeypatch.setattr(kernels._FlatStore, "_compact_ages",
                             counting)
-        system = make_system(design, 1.0)
-        packed = generate_packed_trace(build_workload("sgemm", "small"),
-                                       system.logical_dims)
-        with vector.vector_disabled():
-            via_kernel = run_trace(make_system(design, 1.0), packed,
-                                   name="t")
-        assert compactions, "AGE_LIMIT=300 must force compactions"
+        _, packed = _traces(workload, _system(design).logical_dims)
+        via_kernel = run_trace(_system(design), packed, name="t")
+        assert compactions, "a shrunk AGE_LIMIT must force compactions"
         with kernels.kernel_disabled():
-            reference = run_trace(make_system(design, 1.0), packed,
-                                  name="t")
+            reference = run_trace(_system(design), packed, name="t")
         assert via_kernel.cycles == reference.cycles
         assert via_kernel.stats.flat() == reference.stats.flat()
-
-
-def _row_vector(tile, row):
-    """A vector read of row line ``row`` in ``tile`` (see decoder.py)."""
-    return Request(addr=((tile << 6) | (row << 3)) << 3,
-                   orientation=Orientation.ROW,
-                   width=AccessWidth.VECTOR,
-                   is_write=False, ref_id=0)
 
 
 class TestReplacementEdgeCases:
@@ -286,14 +397,14 @@ class TestKernel2P2L:
         packed = PackedTrace.from_requests(reqs)
         via_objects = run_trace(make_system(design, 1.0), list(reqs),
                                 name="t")
-        with vector.vector_disabled():
-            via_kernel = run_trace(make_system(design, 1.0), packed,
+        with kernels.kernel_disabled():
+            via_packed = run_trace(make_system(design, 1.0), packed,
                                    name="t")
-        via_vector = run_trace_vector(make_system(design, 1.0), packed)
-        assert via_kernel.cycles == via_objects.cycles
-        assert via_kernel.stats.flat() == via_objects.stats.flat()
-        assert via_vector.cycles == via_objects.cycles
-        assert via_vector.stats.flat() == via_objects.stats.flat()
+        via_kernel = run_trace(make_system(design, 1.0), packed,
+                               name="t")
+        for run in (via_packed, via_kernel):
+            assert run.cycles == via_objects.cycles
+            assert run.stats.flat() == via_objects.stats.flat()
         return via_objects.stats.flat()
 
     def test_duplicate_coherence_counters(self):
@@ -328,9 +439,8 @@ class TestKernel2P2L:
         system = make_system(design, 1.0)
         packed = generate_packed_trace(build_workload("sgemm", "small"),
                                        system.logical_dims)
-        with vector.vector_disabled():
-            via_kernel = run_trace(make_system(design, 1.0), packed,
-                                   name="t")
+        via_kernel = run_trace(make_system(design, 1.0), packed,
+                               name="t")
         with kernels.kernel_disabled():
             reference = run_trace(make_system(design, 1.0), packed,
                                   name="t")
@@ -406,15 +516,6 @@ class TestDynamicOrientation:
                                     R, ref_id=ref))
         flat = self._two_way(reqs)
         assert flat["cache.L1.orientation.table_evictions"] > 0
-
-    def test_vector_rejects_dynamic_orientation(self):
-        """The predictor trains on every scalar access in order, so
-        the vector engine must refuse predictor-enabled designs."""
-        _, hierarchy = _hierarchy("1P2L_Dyn")
-        assert kernels.supports(hierarchy)
-        assert not vector.supports(hierarchy)
-        with pytest.raises(SimulationError, match="dynamic"):
-            vector.VectorEngine(hierarchy)
 
 
 class TestPackedBlockWords:

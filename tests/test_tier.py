@@ -3,7 +3,7 @@
 Covers :class:`TierConfig` validation and the override schema (two
 stages: path/field vocabulary, then dataclass invariants), the
 equivalence edges the design promises (size-0 flat == tier disabled,
-hybrid at cache_fraction 1.0 == pure cache mode, bit for bit), four-way
+hybrid at cache_fraction 1.0 == pure cache mode, bit for bit), three-way
 replay-path bit-identity with a tier enabled, determinism across
 ``--jobs``/``--shards``, and the tier's own counter semantics
 (TDRAM folded probe, RBLA install policy, flush draining).
@@ -21,7 +21,7 @@ from repro.common.config import (
 from repro.common.errors import ConfigError, ValidationFailed
 from repro.common.stats import StatRegistry
 from repro.common.types import LINE_BYTES, TILE_BYTES
-from repro.core import kernels, vector
+from repro.core import kernels
 from repro.core.simulator import run_simulation, run_trace
 from repro.core.system import make_system
 from repro.experiments.runner import (
@@ -32,7 +32,6 @@ from repro.experiments.runner import (
 from repro.service.protocol import parse_request
 from repro.sw.tracegen import generate_packed_trace, generate_trace
 from repro.workloads.registry import build_workload
-from tests.conftest import run_trace_vector
 
 MIB = 1024 * 1024
 
@@ -177,9 +176,9 @@ class TestTierReplayIdentity:
         {"tier.mode": "cache", "tier.size_bytes": 2 * MIB},
         HYBRID,
     ], ids=["cache", "hybrid"])
-    def test_four_way_bit_identity(self, overrides):
-        """Object, packed, kernel, and vector replays agree exactly
-        with a tier below the LLC."""
+    def test_three_way_bit_identity(self, overrides):
+        """Object, packed, and kernel replays agree exactly with a tier
+        below the LLC."""
         dims = make_system("1P2L", 1.0).logical_dims
         program = build_workload("sgemm", "small")
         objects = list(generate_trace(program, dims))
@@ -190,21 +189,18 @@ class TestTierReplayIdentity:
         with kernels.kernel_disabled():
             via_packed = run_trace(_tier_system(overrides), packed,
                                    name="t")
-        with vector.vector_disabled():
-            via_kernel = run_trace(_tier_system(overrides), packed,
-                                   name="t")
-        via_vector = run_trace_vector(_tier_system(overrides), packed)
-        for run in (via_packed, via_kernel, via_vector):
+        via_kernel = run_trace(_tier_system(overrides), packed,
+                               name="t")
+        for run in (via_packed, via_kernel):
             assert run.cycles == via_objects.cycles
             assert run.ops == via_objects.ops
             assert run.stats.flat() == via_objects.stats.flat()
 
-    def test_tier_config_stays_vector_covered(self):
+    def test_tier_config_stays_kernel_covered(self):
         from repro.cache.hierarchy import CacheHierarchy
         hierarchy = CacheHierarchy(_tier_system(HYBRID),
                                    StatRegistry())
         assert kernels.supports(hierarchy)
-        assert vector.supports(hierarchy)
 
 
 # -- scheduler determinism ----------------------------------------------------
